@@ -260,8 +260,13 @@ class JobManager:
                 "evicted": self._evicted,
                 "workers": self._max_workers,
                 "priorities": priorities,
-                "promotions": 0,
+                "promotions": self.promotions(),
             }
+
+    def promotions(self) -> int:
+        """Aging promotions ever: always 0, the thread pool never ages
+        jobs (the fleet manager's counterpart reads its spool)."""
+        return 0
 
     def sched_stats(self) -> Dict[str, object]:
         """Per-class depth/wait stats, shape-compatible with the fleet
@@ -286,7 +291,10 @@ class JobManager:
                     row["waits"].append(
                         max(0.0, job.started_at - job.submitted_at)
                     )
-        return {"classes": summarize_class_stats(per), "promotions": 0}
+        return {
+            "classes": summarize_class_stats(per),
+            "promotions": self.promotions(),
+        }
 
     def drain(self, timeout: float = 30.0) -> bool:
         """Graceful drain: refuse new jobs, wait out in-flight ones.

@@ -181,15 +181,11 @@ class FleetJobManager:
                 raise ValidationError(
                     "job manager is shut down; no new jobs accepted"
                 )
+            # live_jobs() reads nothing until a bounded quota iterates
+            # it, and then only the records of queued and running jobs
             priority = self.admission.admit(
                 request, kind, role, client_id,
-                active=(
-                    (
-                        str(rec.get("client_id") or ""),
-                        str(rec.get("state") or ""),
-                    )
-                    for rec in self.queue.records()
-                ),
+                active=self.queue.live_jobs(),
                 retry_after=self._retry_after_estimate,
             )
             if self.capacity is not None:
@@ -234,7 +230,7 @@ class FleetJobManager:
         stats["workers"] = self.supervisor.alive_workers()
         stats["restarts"] = self.supervisor.restarts
         stats["priorities"] = self.queue.pending_by_class()
-        stats["promotions"] = self.queue.promotions()
+        stats["promotions"] = self.promotions()
         autoscaler = self.supervisor.autoscaler
         if autoscaler is not None:
             auto = autoscaler.stats()
@@ -247,6 +243,10 @@ class FleetJobManager:
     def sched_stats(self) -> Dict[str, object]:
         """Per-class depth/wait stats + promotion total, for metrics."""
         return self.queue.sched_stats()
+
+    def promotions(self) -> int:
+        """Aging promotions ever (marker count; reads no job record)."""
+        return self.queue.promotions()
 
     def cluster_stats(self) -> Optional[Dict[str, object]]:
         """The coordinator's full fleet snapshot (None when single-host)."""

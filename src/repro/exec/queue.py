@@ -28,6 +28,9 @@ across processes:
   incremented (or fails it permanently past ``max_attempts``).
 * ``cancel/<job_id>`` — cancellation markers, checked by workers at
   stage boundaries (one ``stat`` per boundary).
+* ``charged/<job_id>`` — O_EXCL first-completion markers: whichever
+  ``complete()`` creates one charges the fair-share ledger, so racing
+  completions (zombie plus live worker) charge a job exactly once.
 
 Delivery is **at-least-once**: a worker that loses its lease to a stale
 heartbeat may still be running (the zombie case fault injection
@@ -46,7 +49,16 @@ import tempfile
 import time
 import uuid
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.api.errors import ValidationError
 from repro.exec.policy import RetryPolicy
@@ -139,7 +151,9 @@ class JobQueue:
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         try:
-            for sub in ("jobs", "pending", "leases", "cancel", "promoted"):
+            for sub in (
+                "jobs", "pending", "leases", "cancel", "promoted", "charged",
+            ):
                 (self.root / sub).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise QueueError(f"cannot create spool at {root}: {exc}") from exc
@@ -148,6 +162,7 @@ class JobQueue:
         self._leases = self.root / "leases"
         self._cancel = self.root / "cancel"
         self._promoted = self.root / "promoted"
+        self._charged = self.root / "charged"
         self._evicted_file = self.root / "evicted.count"
         self._promotions_file = self.root / "promotions.count"
         self._sched_file = self.root / "sched.json"
@@ -157,6 +172,10 @@ class JobQueue:
         # aging agree fleet-wide.  Absent file = permissive defaults.
         self.sched = self._load_sched()
         self.ledger = self._make_ledger()
+        #: job records this instance has read off disk: a deterministic
+        #: cost counter for tests, never reported over the API (plain
+        #: ``+=``, so exact only while one thread uses the instance)
+        self.records_parsed = 0
 
     def configure(self, config: SchedulerConfig) -> None:
         """Persist scheduler policy into the spool (read by every
@@ -401,8 +420,8 @@ class JobQueue:
         overwrite a recovery-written ``failed``/retrying state (the
         zombie-worker convergence case), never the other way around.
         The first completion also charges the job's wall-clock runtime
-        to its client in the fair-share ledger."""
-        prior = self.record(job_id)
+        to its client in the fair-share ledger (exactly once, however
+        many completions race: see :meth:`_first_completion`)."""
         def _done(rec: Dict[str, object]) -> None:
             rec["state"] = "done"
             rec["result"] = result
@@ -421,7 +440,7 @@ class JobQueue:
         started = record.get("started_at")
         finished = record.get("finished_at")
         if (
-            (prior is None or prior.get("state") != "done")
+            self._first_completion(job_id)
             and started and finished and float(finished) > float(started)
         ):
             self.ledger.charge(
@@ -598,10 +617,11 @@ class JobQueue:
                 self._record_path(job_id).unlink()
             except OSError:
                 continue
-            try:
-                (self._cancel / job_id).unlink()
-            except OSError:
-                pass
+            for marker in (self._cancel / job_id, self._charged / job_id):
+                try:
+                    marker.unlink()
+                except OSError:
+                    pass
             # fold the job's promotion markers into the durable base so
             # sched_promotions_total stays monotonic across eviction
             for marker in self._promoted.glob(f"{job_id}.p*"):
@@ -627,20 +647,44 @@ class JobQueue:
     # -- introspection -------------------------------------------------------
 
     def record(self, job_id: str) -> Optional[Dict[str, object]]:
-        record = _read_json(self._record_path(job_id))
-        if record is None or record.get("version") != QUEUE_VERSION:
-            return None
-        return record
+        return self._load(self._record_path(job_id))
 
     def records(self) -> List[Dict[str, object]]:
         """Every readable record, oldest submission first."""
         out = []
         for path in self._jobs.glob("*.json"):
-            record = _read_json(path)
-            if record is not None and record.get("version") == QUEUE_VERSION:
+            record = self._load(path)
+            if record is not None:
                 out.append(record)
         out.sort(key=lambda rec: float(rec.get("submitted_at") or 0.0))
         return out
+
+    def live_jobs(self) -> Iterator[Tuple[str, str]]:
+        """``(client_id, state)`` of every job holding a pending token or
+        a lease, the live set the queue-depth invariant counts.
+
+        A generator: nothing is listed or read until the caller iterates
+        (admission only does when a quota is bounded), and then only the
+        live jobs' records, never the finished ones the spool retains.
+        """
+        job_ids = [
+            parsed[2]
+            for parsed in map(_parse_token, os.listdir(self._pending))
+            if parsed is not None
+        ]
+        # heartbeat temp files (".<job_id>.*.tmp") share the lease dir
+        job_ids.extend(
+            name for name in os.listdir(self._leases)
+            if not name.startswith(".")
+        )
+        # a claim racing the two listings can show one job in both
+        for job_id in dict.fromkeys(job_ids):
+            record = self.record(job_id)
+            if record is not None:
+                yield (
+                    str(record.get("client_id") or ""),
+                    str(record.get("state") or ""),
+                )
 
     def depth(self) -> Dict[str, int]:
         """Active-job counts from the token/lease invariant (no record
@@ -710,6 +754,14 @@ class JobQueue:
     def _record_path(self, job_id: str) -> Path:
         return self._jobs / f"{job_id}.json"
 
+    def _load(self, path: Path) -> Optional[Dict[str, object]]:
+        """Read one job record (None when missing, torn, or foreign)."""
+        self.records_parsed += 1
+        record = _read_json(path)
+        if record is None or record.get("version") != QUEUE_VERSION:
+            return None
+        return record
+
     def _make_token(self, job_id: str, stamp: float, rank: int) -> None:
         token = self._pending / f"p{rank}.{int(stamp * 1e6):020d}-{job_id}"
         token.touch()
@@ -735,6 +787,21 @@ class JobQueue:
         except OSError:
             return
         os.close(fd)
+
+    def _first_completion(self, job_id: str) -> bool:
+        """Create the job's O_EXCL charge marker; True only for the one
+        caller that does (the :meth:`_note_promotion` pattern: reading
+        ``state`` and then charging is two steps, and two racing
+        completions could both see a not-yet-done record)."""
+        try:
+            fd = os.open(
+                str(self._charged / job_id),
+                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
+            )
+        except OSError:
+            return False
+        os.close(fd)
+        return True
 
     def _promotions_base(self) -> int:
         payload = _read_json(self._promotions_file) or {}

@@ -249,8 +249,10 @@ def register_service_gauges(registry: MetricsRegistry, service) -> None:
     evicted, per-class pending, autoscale counters — the execution
     plane's health surface) plus job counts by state, and — when the
     manager speaks the scheduler surface — a ``sched`` gauge of
-    per-class pending/running/queue-wait quantiles with the monotonic
-    aging-promotion count doubled as ``sched_promotions_total``.
+    per-class pending/running/queue-wait quantiles, plus the monotonic
+    aging-promotion count as ``sched_promotions_total`` (read through the
+    manager's ``promotions()`` accessor, not a second ``sched_stats()``
+    pass over every job record).
     Registered by ``make_server`` so the endpoint is live with or
     without any middleware configured.
     """
@@ -271,10 +273,7 @@ def register_service_gauges(registry: MetricsRegistry, service) -> None:
     sched_stats = getattr(service.jobs, "sched_stats", None)
     if callable(sched_stats):
         registry.gauge_fn("sched", sched_stats)
-        registry.gauge_fn(
-            "sched_promotions_total",
-            lambda: sched_stats().get("promotions", 0),
-        )
+        registry.gauge_fn("sched_promotions_total", service.jobs.promotions)
 
     cluster_stats = getattr(service.jobs, "cluster_stats", None)
     cluster_summary = getattr(service.jobs, "cluster_summary", None)

@@ -16,8 +16,10 @@ scan.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import string
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
@@ -260,6 +262,12 @@ class AutoscalePolicy:
         return AutoscalePolicy(**kwargs)
 
 
+#: client-id characters a ledger file name keeps as they are
+_LEDGER_PLAIN = frozenset(string.ascii_letters + string.digits + "-")
+#: longer escaped keys name the file by digest (file names stop at 255)
+_LEDGER_KEY_MAX = 200
+
+
 class FairShareLedger:
     """On-disk, decaying per-client runtime charges (the fair-share key).
 
@@ -286,11 +294,28 @@ class FairShareLedger:
         self.halflife = max(1e-9, float(halflife))
 
     def _path(self, client_id: str) -> Path:
-        # client ids come off the wire; keep filenames boring
-        safe = "".join(
-            ch if ch.isalnum() or ch in "._-" else "_" for ch in client_id
+        """One file per client id, and never one file for two ids.
+
+        Client ids come off the wire, so file names stay boring: every
+        character outside ``[A-Za-z0-9-]`` becomes ``_`` plus two hex
+        digits per UTF-8 byte.  ``_`` only ever starts such an escape,
+        which keeps the map injective (``a/b`` is ``a_2fb``, ``a_b`` is
+        ``a_5fb``); ``_`` alone is the anonymous client and ``_h`` plus
+        a sha256 digest an id too long to spell out.
+        """
+        key = "".join(
+            ch if ch in _LEDGER_PLAIN else "".join(
+                f"_{byte:02x}"
+                for byte in ch.encode("utf-8", "surrogatepass")
+            )
+            for ch in client_id
         )
-        return self.root / f"{safe or 'anonymous'}.json"
+        if len(key) > _LEDGER_KEY_MAX:
+            digest = hashlib.sha256(
+                client_id.encode("utf-8", "surrogatepass")
+            ).hexdigest()
+            key = f"_h{digest}"
+        return self.root / f"{key or '_'}.json"
 
     def _decayed(self, charge: float, since: float, now: float) -> float:
         if now <= since:

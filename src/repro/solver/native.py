@@ -870,12 +870,17 @@ class _MatchSearch:
 # * for *cost-minimizing* searches (generalization) the pass only runs
 #   when a uniformity certificate proves every complete matching has the
 #   same total cost — each g1 element's property values must agree with
-#   either all or none of its WL-class candidates (volatile identifiers
-#   such as inode numbers, pids, and timestamps never coincide across
-#   trial boots, so the certificate holds on exactly the workloads whose
-#   interchangeable components blow the monolithic search up) — making
-#   the leftmost complete solution minimal, which is the one the
-#   monolithic branch-and-bound keeps (strict-improvement pruning);
+#   either all or none of its WL-class candidates — making the leftmost
+#   complete solution minimal, which is the one the monolithic
+#   branch-and-bound keeps (strict-improvement pruning).  Volatile
+#   identifiers such as inode numbers, pids, and timestamps usually
+#   differ between trial boots, so the certificate usually holds on the
+#   workloads whose interchangeable components blow the monolithic search
+#   up.  They can coincide by chance, though: scale128 run seed 124051315
+#   on camflow (``cf:ino``) and 146787737 on spade (``ino``) each give
+#   one g1 node a value only one of its 128 class candidates shares, the
+#   node tier fails, and the monolithic fallback raises SolverLimit
+#   after ~30-40 s (a known defect, see README "Performance");
 # * in every other situation (class mismatch, non-uniform costs, a stuck
 #   leftmost branch) the matcher falls back to the monolithic search.
 #

@@ -21,12 +21,20 @@ from pathlib import Path
 import pytest
 
 from repro.api import BenchmarkService, RunRequest
-from repro.api.errors import BackpressureError, DeadlineError, ValidationError
+from repro.api.errors import (
+    BackpressureError,
+    DeadlineError,
+    QuotaExceededError,
+    ValidationError,
+    error_headers,
+)
 from repro.api.http import make_server
 from repro.api.jobs import JobManager
 from repro.api.types import BatchRequest
-from repro.exec import FleetJobManager, RetryPolicy
+from repro.exec import FleetJobManager, JobQueue, RetryPolicy
 from repro.faults import FaultPlan, FaultSpec
+from repro.middleware.metrics import MetricsRegistry, register_service_gauges
+from repro.sched import QuotaPolicy, QuotaTable, SchedulerConfig
 from repro.suite import TABLE2_ORDER
 from repro.suite.registry import SUITE_REGISTRY
 
@@ -247,6 +255,76 @@ def test_health_exposes_queue_depth_and_eviction_counter():
         server.shutdown()
         server.server_close()
         server.service.close()
+
+
+# -- submit cost ------------------------------------------------------------
+#
+# Admission must not read the spool's finished records: with the
+# default (unlimited) quota a submit reads no job record at all, and a
+# bounded quota reads only the live jobs'.  Counted, not timed.
+
+
+def fill_finished(plane, count=FleetJobManager.MAX_FINISHED_JOBS):
+    """A spool at the fleet's retention cap of finished jobs."""
+    queue = JobQueue(Path(plane) / "spool")
+    payload = RunRequest(benchmark="open", tool="spade", seed=5).to_payload()
+    for _ in range(count):
+        job_id = queue.submit("run", payload, 1, 3)["job_id"]
+        queue.claim("filler")
+        queue.complete(job_id, result={"ok": True})
+
+
+def test_records_parsed_default_submit_reads_no_job_record(tmp_path):
+    fill_finished(tmp_path)
+    with FleetJobManager(tmp_path, workers=0) as manager:
+        service = BenchmarkService(jobs=manager)
+        for seed in range(3):
+            service.submit(RunRequest(benchmark="open", tool="spade",
+                                      seed=seed), client_id="ci")
+        assert manager.queue.records_parsed == 0
+        assert manager.queue_stats()["pending"] == 3
+
+
+def test_records_parsed_bounded_quota_reads_only_live_jobs(tmp_path):
+    fill_finished(tmp_path)
+    scheduler = SchedulerConfig(
+        quotas=QuotaTable(default=QuotaPolicy(max_in_flight=4)),
+    )
+    with FleetJobManager(tmp_path, workers=0,
+                         scheduler=scheduler) as manager:
+        service = BenchmarkService(jobs=manager)
+        for live in range(4):
+            before = manager.queue.records_parsed
+            service.submit(RunRequest(benchmark="open", tool="spade",
+                                      seed=live), client_id="ci")
+            assert manager.queue.records_parsed - before == live
+            if live == 1:
+                manager.queue.claim("w")  # a running job counts too
+        with pytest.raises(QuotaExceededError) as excinfo:
+            service.submit(RunRequest(benchmark="open", tool="spade"),
+                           client_id="ci")
+        assert "in-flight quota (4/4 live jobs)" in str(excinfo.value)
+        assert excinfo.value.http_status == 429
+        assert excinfo.value.retry_after == 1.0
+        assert error_headers(excinfo.value)["Retry-After"] == "1"
+        # the live jobs are ci's alone: another client is admitted
+        service.submit(RunRequest(benchmark="open", tool="spade"),
+                       client_id="dash")
+
+
+def test_records_parsed_metrics_render_reads_each_record_twice(tmp_path):
+    fill_finished(tmp_path)
+    with FleetJobManager(tmp_path, workers=0) as manager:
+        registry = MetricsRegistry()
+        register_service_gauges(registry, BenchmarkService(jobs=manager))
+        gauges = registry.render()["gauges"]
+        # the jobs and sched gauges read every record once each; the
+        # promotions gauge reads only the marker count
+        assert manager.queue.records_parsed == (
+            2 * FleetJobManager.MAX_FINISHED_JOBS
+        )
+        assert gauges["sched_promotions_total"] == 0
+        assert gauges["sched"]["promotions"] == 0
 
 
 # -- deadlines --------------------------------------------------------------

@@ -240,6 +240,51 @@ def test_evict_finished_drops_oldest_and_counts_durably(tmp_path):
     assert JobQueue(tmp_path / "spool").evicted() == 3
 
 
+def test_eviction_drops_the_charge_marker(queue, tmp_path):
+    job_id = submit(queue)["job_id"]
+    queue.claim("w")
+    queue.complete(job_id, result={"ok": True})
+    charged = tmp_path / "spool" / "charged"
+    assert [marker.name for marker in charged.iterdir()] == [job_id]
+    queue.evict_finished(cap=0)
+    assert list(charged.iterdir()) == []
+
+
+# -- live jobs ----------------------------------------------------------------
+
+
+def test_live_jobs_reads_only_tokened_and_leased_records(queue):
+    for _ in range(5):
+        job_id = submit(queue)["job_id"]
+        queue.claim("w")
+        queue.complete(job_id, result={"ok": True})
+    queue.submit("run", {"benchmark": "open"}, 1, 3, client_id="ci")
+    queue.submit("run", {"benchmark": "open"}, 1, 3, client_id="dash")
+    queue.claim("w")  # ci's job, the older, now holds a lease
+    queue.records_parsed = 0
+
+    live = queue.live_jobs()
+    assert queue.records_parsed == 0  # a generator: nothing read yet
+    assert sorted(live) == [("ci", "running"), ("dash", "queued")]
+    # two live records read; the five finished ones never are
+    assert queue.records_parsed == 2
+
+
+def test_live_jobs_counts_a_job_seen_as_token_and_lease_once(
+    queue, tmp_path
+):
+    job_id = queue.submit(
+        "run", {"benchmark": "open"}, 1, 3, client_id="ci"
+    )["job_id"]
+    # the state a claim racing the two directory listings can show
+    (tmp_path / "spool" / "leases" / job_id).touch()
+    # a heartbeat's temp file in the lease dir is not a job
+    (tmp_path / "spool" / "leases" / f".{job_id}.x.tmp").touch()
+    queue.records_parsed = 0
+    assert list(queue.live_jobs()) == [("ci", "queued")]
+    assert queue.records_parsed == 1
+
+
 def test_terminal_states_match_api_job_states():
     from repro.api.types import JOB_STATES
 

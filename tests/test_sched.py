@@ -9,6 +9,8 @@ deterministic completion order for a fixed submit script.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -153,6 +155,24 @@ def test_ledger_survives_corrupt_files_and_odd_ids(tmp_path):
     assert ledger.usage("evil", now=0.0) == 0.0
     ledger.charge("../../sneaky", 1.0, now=0.0)
     assert all(p.parent == tmp_path for p in tmp_path.iterdir())
+
+
+def test_ledger_keeps_lookalike_client_ids_apart(tmp_path):
+    ledger = FairShareLedger(tmp_path, halflife=1e9)
+    ledger.charge("a/b", 5.0, now=0.0)
+    assert ledger.usage("a/b", now=0.0) == pytest.approx(5.0)
+    # ids the old sanitizer folded onto a/b's file
+    for other in ("a_b", "a.b", "a b", "a_2fb"):
+        assert ledger.usage(other, now=0.0) == 0.0, other
+    ledger.charge("", 2.0, now=0.0)
+    assert ledger.usage("anonymous", now=0.0) == 0.0
+    assert ledger.usage("_", now=0.0) == 0.0
+    assert ledger.usage("", now=0.0) == pytest.approx(2.0)
+    long_id = "é" * 200  # escapes past the key length: keyed by digest
+    ledger.charge(long_id, 3.0, now=0.0)
+    assert ledger.usage(long_id, now=0.0) == pytest.approx(3.0)
+    assert ledger.usage(long_id[:-1], now=0.0) == 0.0
+    assert len({path.name for path in tmp_path.iterdir()}) == 3
 
 
 # -- admission ---------------------------------------------------------------
@@ -312,6 +332,57 @@ def test_completed_runtime_charges_the_ledger_once(tmp_path):
     # a zombie's duplicate completion must not double-charge
     queue.complete(job_id, result={"ok": True})
     assert queue.ledger.usage("ci") == pytest.approx(charged, rel=0.1)
+
+
+@pytest.fixture()
+def busy_switching():
+    """Switch threads every 10 us, so racing threads interleave inside
+    one call instead of each running it to the end in one time slice."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(previous)
+
+
+def test_racing_completions_charge_the_ledger_exactly_once(
+    tmp_path, busy_switching
+):
+    spool = tmp_path / "spool"
+    charges = []
+
+    def counted(queue):
+        charge = queue.ledger.charge
+
+        def counting(client_id, runtime, now=None):
+            charges.append(client_id)
+            return charge(client_id, runtime, now=now)
+
+        queue.ledger.charge = counting
+        return queue
+
+    # one queue per completer, as the zombie and the live worker each
+    # open their own over the shared spool; several rounds, so a racy
+    # check-then-charge cannot slip through on lucky scheduling
+    completers = [counted(JobQueue(spool)) for _ in range(8)]
+    start = threading.Barrier(len(completers), timeout=30)
+    clients = [f"c{n}" for n in range(20)]
+    for client in clients:
+        job_id = submit(JobQueue(spool), client_id=client)["job_id"]
+        JobQueue(spool).claim("w")
+
+        def complete(queue, job_id=job_id):
+            start.wait()
+            queue.complete(job_id, result={"ok": True})
+
+        threads = [threading.Thread(target=complete, args=(queue,))
+                   for queue in completers]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert JobQueue(spool).record(job_id)["state"] == "done"
+    assert charges == clients
 
 
 def test_priority_survives_retry_requeue(tmp_path):
